@@ -9,9 +9,16 @@ implementations share one fixed point:
 * ``iaa_dense``: explicit dictionary-matrix reference, O(P M^2) per sweep.
 * ``fft_iaa``: exploits that the dictionary rows are rows of the P-point DFT
   matrix, so numerators, the Capon-style denominators, and the
-  Toeplitz-Hermitian covariance rebuild each collapse to a single FFT.
+  Toeplitz-Hermitian covariance rebuild each collapse to a single FFT.  The
+  covariance is Hermitian Toeplitz, so a sweep never forms its inverse Q:
+  one two-column solve gives Q e_0 and Q h, and the Gohberg-Semencul formula
+  turns Q e_0 into every lag sum of Q with FFT correlations, O(M log M).
 * ``masked_fft_iaa``: the same with an arbitrary subcarrier mask, realized
-  as gather/scatter around the FFT kernels.
+  as gather/scatter around the FFT kernels; the gathered covariance is not
+  Toeplitz, so it keeps a general inverse.
+
+Every sweep reports its relative change; a spectrum carries the last one as
+``final_delta`` and whether it met the tolerance as ``converged``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import CfrMatrix, SrsConfig
 
@@ -93,8 +100,9 @@ class DelayGrid:
 class IaaSettings:
     """Iteration controls.
 
-    ``diagonal_loading`` is relative: the loading added before inversion is
-    this factor times the average diagonal of the covariance estimate.
+    ``diagonal_loading`` is relative: the loading added before the covariance
+    is inverted or solved is this factor times the average diagonal of the
+    covariance estimate.
     """
 
     max_iterations: int = 15
@@ -112,11 +120,19 @@ class IaaSettings:
 
 @dataclass(frozen=True)
 class ToaSpectrum:
-    """Complex amplitude spectrum of one channel over the delay grid."""
+    """Complex amplitude spectrum of one channel over the delay grid.
+
+    ``final_delta`` is the relative change of the last sweep and
+    ``converged`` whether it fell below the tolerance; a run stopped by the
+    iteration cap reports ``converged=False``.  Spectra that take no sweep
+    (periodogram, all-zero input) report 0.0 and True.
+    """
 
     amplitudes: np.ndarray
     grid: DelayGrid
     iterations: int = 0
+    final_delta: float = 0.0
+    converged: bool = True
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -151,28 +167,11 @@ def matched_filter_numerators(vec: np.ndarray, num_grid_points: int) -> np.ndarr
     return out
 
 
-_DIAG_SUM_OPS: dict[int, sparse.csr_matrix] = {}
-
-
-def _diag_sum_operator(m: int) -> sparse.csr_matrix:
-    """Sparse (2M-1, M^2) operator mapping vec(Q) to its diagonal sums."""
-    if m not in _DIAG_SUM_OPS:
-        rows, cols = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        lag = (rows - cols).ravel() + m - 1
-        _DIAG_SUM_OPS[m] = sparse.csr_matrix(
-            (np.ones(m * m), (lag, np.arange(m * m))), shape=(2 * m - 1, m * m)
-        )
-    return _DIAG_SUM_OPS[m]
-
-
-def _diag_sums(q: np.ndarray) -> np.ndarray:
-    """Sums over constant row-minus-column lags, ordered lag -(M-1) .. M-1."""
-    batch = np.atleast_3d(q) if q.ndim == 3 else q[None]
-    m = batch.shape[-1]
-    flat = batch.reshape(batch.shape[0], m * m)
-    u = (_diag_sum_operator(m) @ flat.T).T
-    # operator lags run (row-col) from -(M-1) to M-1 already
-    return u if q.ndim == 3 else u[0]
+def _binned_lag_sums(values: np.ndarray, bins: np.ndarray, num_bins: int) -> np.ndarray:
+    """Complex sums of ``values`` grouped by the integer ``bins``."""
+    return np.bincount(bins, values.real, num_bins) + 1j * np.bincount(
+        bins, values.imag, num_bins
+    )
 
 
 def capon_denominators(q: np.ndarray, num_grid_points: int) -> np.ndarray:
@@ -180,21 +179,56 @@ def capon_denominators(q: np.ndarray, num_grid_points: int) -> np.ndarray:
 
     The quadratic form depends on Q only through its diagonal sums u_l
     (row minus column = l); the full sweep is the inverse-FFT synthesis of
-    those lag sums.  Exact for any square Q; real-valued output assumes a
-    Hermitian Q (the imaginary part is discarded).
+    those lag sums, binned at l mod P.  Exact for any square Q; real-valued
+    output assumes a Hermitian Q (the imaginary part is discarded).
     """
     single = q.ndim == 2
     qb = q[None] if single else q
-    m = qb.shape[-1]
-    if num_grid_points < m:
+    b, m = qb.shape[0], qb.shape[-1]
+    p = num_grid_points
+    if p < m:
         raise ValueError("need P >= M")
-    u = _diag_sums(qb)  # lags -(M-1) .. M-1
-    uvec = np.zeros((qb.shape[0], num_grid_points), dtype=complex)
-    uvec[:, :m] = u[:, m - 1 :]  # lags 0 .. M-1
-    if m > 1:
-        uvec[:, num_grid_points - m + 1 :] = u[:, : m - 1]  # lags -(M-1) .. -1
-    xi = np.real(num_grid_points * np.fft.ifft(uvec, axis=-1))
+    lag_bins = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % p
+    bins = (lag_bins + p * np.arange(b)[:, None]).ravel()
+    uvec = _binned_lag_sums(qb.ravel(), bins, b * p).reshape(b, p)
+    xi = np.real(p * np.fft.ifft(uvec, axis=-1))
     return xi[0] if single else xi
+
+
+def _toeplitz_inverse_lag_sums(x: np.ndarray) -> np.ndarray:
+    """Lag sums u_l, l = 0 .. M-1, of Q = R^-1 for a Hermitian PD Toeplitz R.
+
+    ``x`` (..., M) is the first column of Q.  By Gohberg-Semencul,
+    Q = (L(x) L(x)^H - L(y) L(y)^H) / x_0 with y = Z J conj(x), where L(a) is
+    the lower-triangular Toeplitz matrix with first column a.  Along lag
+    l >= 0, L(a) L(a)^H sums to sum_s (M - l - s) a[s + l] conj(a[s]): a plain
+    and an s-weighted correlation, each one zero-padded length-2M FFT
+    correlation.  Lag -l is the conjugate of lag l.
+    """
+    m = x.shape[-1]
+    y = np.zeros_like(x)
+    y[..., 1:] = x[..., :0:-1].conj()
+    s = np.arange(m)
+    fx, fy, fsx, fsy = np.fft.fft(np.stack([x, y, s * x, s * y]), n=2 * m, axis=-1)
+    corr = np.fft.ifft(
+        np.stack([fx * fx.conj() - fy * fy.conj(), fx * fsx.conj() - fy * fsy.conj()]),
+        axis=-1,
+    )[..., :m]
+    return ((m - s) * corr[0] - corr[1]) / np.real(x[..., :1])
+
+
+def _covariance_lags(power: np.ndarray, num_subcarriers: int) -> np.ndarray:
+    """Lags 0 .. M-1 of R = A diag(p) A^H: the first M bins of fft(p).
+
+    rfft holds bins 0 .. P//2 only; when M > P//2 + 1 the bins past P//2 are
+    the conjugates of bins P - k, the power spectrum being real.
+    """
+    p = power.shape[-1]
+    half = np.fft.rfft(power, axis=-1)
+    if num_subcarriers <= half.shape[-1]:
+        return half[..., :num_subcarriers]
+    mirror = half[..., p - np.arange(half.shape[-1], num_subcarriers)].conj()
+    return np.concatenate([half, mirror], axis=-1)
 
 
 def toeplitz_covariance(power_spectrum: np.ndarray, num_subcarriers: int) -> np.ndarray:
@@ -207,10 +241,10 @@ def toeplitz_covariance(power_spectrum: np.ndarray, num_subcarriers: int) -> np.
     m = num_subcarriers
     if pw.shape[-1] < m:
         raise ValueError("power spectrum shorter than the subcarrier count")
-    first_col = np.fft.rfft(pw, axis=-1)[:, :m]
+    first_col = _covariance_lags(pw, m)
     lags = np.concatenate([first_col[:, :0:-1].conj(), first_col], axis=1)
-    idx = np.subtract.outer(np.arange(m), np.arange(m)) + m - 1
-    out = lags[:, idx]
+    # window k of the lag sequence, reversed, is row k: R[i, j] = lags[M-1+i-j]
+    out = sliding_window_view(lags, m, axis=1)[:, :, ::-1].copy()
     return out[0] if power_spectrum.ndim == 1 else out
 
 
@@ -229,21 +263,29 @@ def _relative_change(new_mag: np.ndarray, old_mag: np.ndarray) -> np.ndarray:
 
 def _fft_iaa_batch(
     h_rows: np.ndarray, grid: DelayGrid, settings: IaaSettings
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[ToaSpectrum]:
     """FFT-accelerated iterations for a stack of channels, shape (N, M).
 
     Converged rows are frozen so each row's trajectory matches a standalone
-    single-channel run; per-row iteration counts are returned alongside the
-    final spectra.
+    single-channel run.
     """
     n_rows, m = h_rows.shape
     p = grid.num_points
     beta = np.fft.ifft(h_rows, n=p, axis=1) * (p / m)
     prev_mag = np.abs(beta)
     iterations = np.zeros(n_rows, dtype=int)
+    final_delta = np.zeros(n_rows)
     active = np.linalg.norm(h_rows, axis=1) > 0
     beta[~active] = 0.0
     diag_idx = np.arange(m)
+    # right-hand sides [e_0, h]: one solve gives Q e_0 and Q h
+    rhs = np.zeros((n_rows, m, 2), dtype=complex)
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = h_rows
+    # Q is Hermitian, so the real synthesis needs lags 0 .. M-1 only, with
+    # each nonzero lag standing in for itself and its conjugate mirror
+    lag_weights = np.full(m, 2.0)
+    lag_weights[0] = 1.0
 
     for it in range(1, settings.max_iterations + 1):
         idx = np.flatnonzero(active)
@@ -254,19 +296,20 @@ def _fft_iaa_batch(
         loading = settings.diagonal_loading * np.real(cov[:, 0, 0])
         cov[:, diag_idx, diag_idx] += loading[:, None]
         try:
-            q = np.linalg.inv(cov)
+            sol = np.linalg.solve(cov, rhs[idx])
         except np.linalg.LinAlgError as exc:
             raise EstimationError(
-                f"covariance inversion failed at iteration {it} despite loading"
+                f"covariance solve failed at iteration {it} despite loading"
             ) from exc
-        iota = (q @ h_rows[idx, :, None])[..., 0]
-        u = _diag_sums(q)
+        x, iota = sol[..., 0], sol[..., 1]
+        if not np.all(np.real(x[:, 0]) > 0):
+            raise EstimationError(
+                f"nonpositive inverse diagonal at iteration {it}; covariance not PD"
+            )
         # one batched inverse FFT covers both the numerators and denominators
         packed = np.zeros((2 * b, p), dtype=complex)
         packed[:b, :m] = iota
-        packed[b:, :m] = u[:, m - 1 :]
-        if m > 1:
-            packed[b:, p - m + 1 :] = u[:, : m - 1]
+        packed[b:, :m] = lag_weights * _toeplitz_inverse_lag_sums(x)
         transformed = p * np.fft.ifft(packed, axis=1)
         numer = transformed[:b]
         denom = np.real(transformed[b:])
@@ -280,9 +323,19 @@ def _fft_iaa_batch(
         beta[idx] = new_beta
         prev_mag[idx] = new_mag
         iterations[idx] = it
+        final_delta[idx] = delta
         active[idx[delta < settings.convergence_tol]] = False
 
-    return beta, iterations
+    return [
+        ToaSpectrum(
+            amplitudes=beta[n],
+            grid=grid,
+            iterations=int(iterations[n]),
+            final_delta=float(final_delta[n]),
+            converged=bool(final_delta[n] < settings.convergence_tol),
+        )
+        for n in range(n_rows)
+    ]
 
 
 def fft_iaa(
@@ -290,7 +343,9 @@ def fft_iaa(
 ) -> ToaSpectrum:
     """FFT-accelerated estimator for one channel.
 
-    Per sweep: one M x M inversion plus FFTs; identical fixed point to
+    Per sweep: one Toeplitz rebuild, one M x M solve for the two columns
+    Q e_0 and Q h, Gohberg-Semencul lag sums of Q from Q e_0, and one
+    inverse FFT for numerators and denominators; identical fixed point to
     :func:`iaa_dense`.  Requires the full-range grid the type enforces.
     """
     settings = settings or IaaSettings()
@@ -299,8 +354,7 @@ def fft_iaa(
         raise ValueError("expected a single channel vector")
     if h.size > grid.num_points:
         raise ValueError("need P >= M")
-    beta, iters = _fft_iaa_batch(h[None, :], grid, settings)
-    return ToaSpectrum(amplitudes=beta[0], grid=grid, iterations=int(iters[0]))
+    return _fft_iaa_batch(h[None, :], grid, settings)[0]
 
 
 def iaa_dense(
@@ -319,7 +373,7 @@ def iaa_dense(
     if not np.any(np.abs(h) > 0):
         return ToaSpectrum(amplitudes=np.zeros_like(beta), grid=grid, iterations=0)
     prev_mag = np.abs(beta)
-    iterations = 0
+    iterations, delta = 0, 0.0
     for it in range(1, settings.max_iterations + 1):
         weights = prev_mag**2
         cov = (a * weights) @ a.conj().T
@@ -344,7 +398,13 @@ def iaa_dense(
         iterations = it
         if delta < settings.convergence_tol:
             break
-    return ToaSpectrum(amplitudes=beta, grid=grid, iterations=iterations)
+    return ToaSpectrum(
+        amplitudes=beta,
+        grid=grid,
+        iterations=iterations,
+        final_delta=delta,
+        converged=delta < settings.convergence_tol,
+    )
 
 
 def masked_fft_iaa(
@@ -384,13 +444,14 @@ def masked_fft_iaa(
     if not np.any(np.abs(h_masked) > 0):
         return ToaSpectrum(amplitudes=np.zeros(p, dtype=complex), grid=grid, iterations=0)
     prev_mag = np.abs(beta)
-    iterations = 0
-    pair_lags = np.subtract.outer(sel, sel).ravel() + m_full - 1
+    iterations, delta = 0, 0.0
+    pair_lags = np.subtract.outer(sel, sel)
+    pair_bins = pair_lags.ravel() % p
 
     for it in range(1, settings.max_iterations + 1):
-        first_col = np.fft.rfft(prev_mag**2)[:m_full]
+        first_col = _covariance_lags(prev_mag**2, m_full)
         lag_values = np.concatenate([first_col[:0:-1].conj(), first_col])
-        cov = lag_values[np.subtract.outer(sel, sel) + m_full - 1]
+        cov = lag_values[pair_lags + m_full - 1]
         loading = settings.diagonal_loading * np.real(first_col[0])
         cov[np.arange(m_kept), np.arange(m_kept)] += loading
         try:
@@ -400,15 +461,8 @@ def masked_fft_iaa(
                 f"masked covariance inversion failed at iteration {it}"
             ) from exc
         numer = matched_filter_numerators(scatter(q @ h_masked), p)
-        # diagonal sums of the scattered J^T Q J, binned by full-index lag
-        qflat = q.ravel()
-        u = np.bincount(pair_lags, weights=qflat.real, minlength=2 * m_full - 1) + 1j * np.bincount(
-            pair_lags, weights=qflat.imag, minlength=2 * m_full - 1
-        )
-        uvec = np.zeros(p, dtype=complex)
-        uvec[:m_full] = u[m_full - 1 :]
-        if m_full > 1:
-            uvec[p - m_full + 1 :] = u[: m_full - 1]
+        # diagonal sums of the scattered J^T Q J, binned by full-index lag mod P
+        uvec = _binned_lag_sums(q.ravel(), pair_bins, p)
         denom = np.real(p * np.fft.ifft(uvec))
         if not np.all(denom > 0):
             raise EstimationError(
@@ -421,7 +475,13 @@ def masked_fft_iaa(
         iterations = it
         if delta < settings.convergence_tol:
             break
-    return ToaSpectrum(amplitudes=beta, grid=grid, iterations=iterations)
+    return ToaSpectrum(
+        amplitudes=beta,
+        grid=grid,
+        iterations=iterations,
+        final_delta=delta,
+        converged=delta < settings.convergence_tol,
+    )
 
 
 def multichannel_toa(
@@ -435,11 +495,7 @@ def multichannel_toa(
     if abs(grid.subcarrier_spacing_hz - cfr.srs.subcarrier_spacing_hz) > 1e-6 * cfr.srs.subcarrier_spacing_hz:
         raise ValueError("delay grid was built for a different subcarrier spacing")
     if impl == "fft":
-        beta, iters = _fft_iaa_batch(np.ascontiguousarray(cfr.data.T), grid, settings)
-        return [
-            ToaSpectrum(amplitudes=beta[n], grid=grid, iterations=int(iters[n]))
-            for n in range(cfr.channel_count)
-        ]
+        return _fft_iaa_batch(np.ascontiguousarray(cfr.data.T), grid, settings)
     if impl == "dense":
         return [iaa_dense(cfr.data[:, n], grid, settings) for n in range(cfr.channel_count)]
     if impl == "periodogram":

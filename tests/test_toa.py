@@ -16,6 +16,7 @@ from srsjade import (
 )
 from srsjade.toa import (
     EstimationError,
+    _toeplitz_inverse_lag_sums,
     capon_denominators,
     delay_dictionary,
     matched_filter_numerators,
@@ -102,6 +103,61 @@ class TestFftKernels:
         assert_allclose(r[0, :], first_col.conj(), rtol=1e-12)
 
 
+class TestToeplitzInverseLagSums:
+    @staticmethod
+    def check(r, bound):
+        m = r.shape[0]
+        q = np.linalg.inv(r)
+        ref = np.array([np.trace(q, offset=-lag) for lag in range(m)])
+        x = np.linalg.solve(r, np.eye(m)[:, 0])
+        u = _toeplitz_inverse_lag_sums(x)
+        assert np.max(np.abs(u - ref)) / np.max(np.abs(ref)) < bound
+
+    @pytest.mark.parametrize("m", [2, 3, 33, 64, 128])
+    def test_matches_trace_of_inverse(self, rng, m):
+        # Gohberg-Semencul lag sums equal the diagonal sums of the explicit inverse
+        for _ in range(5):
+            w = rng.random(16 * m)
+            self.check(toeplitz_covariance(w, m), 1e-12)
+
+    def test_near_singular_single_path(self):
+        # noiseless single path with 1e-8 relative loading: cond ~ 6e9, so both
+        # sides carry rounding errors of order cond * eps ~ 1e-6
+        w = np.zeros(1024)
+        w[100] = 1.0
+        r = toeplitz_covariance(w, 64)
+        r[np.arange(64), np.arange(64)] += 1e-8 * np.real(r[0, 0])
+        self.check(r, 1e-6)
+
+
+class TestShortGrid:
+    """M <= P < 2M-1: positive and negative lags share bins modulo P."""
+
+    @pytest.mark.parametrize("p", [64, 100, 126, 127, 1024])
+    def test_fft_and_masked_match_dense(self, p):
+        grid = DelayGrid.for_srs(SRS, p)
+        for seed in range(4):
+            r = np.random.default_rng(seed)
+            h = r.standard_normal(64) + 1j * r.standard_normal(64)
+            dense = iaa_dense(h, grid)
+            scale = np.max(np.abs(dense.amplitudes))
+            for fast in (fft_iaa(h, grid), masked_fft_iaa(h, np.ones(64, dtype=bool), grid)):
+                assert np.max(np.abs(fast.amplitudes - dense.amplitudes)) / scale < 1e-9
+                assert fast.iterations == dense.iterations
+
+    @pytest.mark.parametrize("p", [64, 100, 126])
+    def test_kernels_match_dense(self, rng, p):
+        a = delay_dictionary(DelayGrid.for_srs(SRS, p), 64)
+        w = rng.random(p)
+        r_dense = covariance_dense(a, w)
+        r_fft = toeplitz_covariance(w, 64)
+        assert np.max(np.abs(r_fft - r_dense)) / np.max(np.abs(r_dense)) < 1e-10
+        q = random_hermitian(rng, 64)
+        dense = np.real(quadratic_forms_dense(q, a))
+        xi = capon_denominators(q, p)
+        assert np.max(np.abs(xi - dense)) / np.max(np.abs(dense)) < 1e-10
+
+
 class TestPeriodogram:
     def test_single_on_grid_path(self):
         p0 = 200
@@ -170,6 +226,19 @@ class TestFftIaaEquivalence:
             h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
             sd = iaa_dense(h, GRID)
             sf = fft_iaa(h, GRID)
+            rel = np.max(np.abs(sf.amplitudes - sd.amplitudes)) / np.max(np.abs(sd.amplitudes))
+            assert rel < 1e-9
+            assert sf.iterations == sd.iterations
+
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_matches_dense_beyond_m64(self, m):
+        srs = SrsConfig(4.85e9, 1.92e6, m)
+        grid = DelayGrid.for_srs(srs, 16 * m)
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            h = r.standard_normal(m) + 1j * r.standard_normal(m)
+            sd = iaa_dense(h, grid)
+            sf = fft_iaa(h, grid)
             rel = np.max(np.abs(sf.amplitudes - sd.amplitudes)) / np.max(np.abs(sd.amplitudes))
             assert rel < 1e-9
             assert sf.iterations == sd.iterations
@@ -325,3 +394,46 @@ class TestConvergenceBehavior:
             h += rng.standard_normal(64) + 1j * rng.standard_normal(64)
             counts.append(fft_iaa(h, GRID).iterations)
         assert max(counts) <= 15
+
+
+class TestConvergenceReport:
+    @staticmethod
+    def estimates(h, settings):
+        cfr = CfrMatrix(data=h[:, None], srs=SRS)
+        return {
+            "fft": fft_iaa(h, GRID, settings),
+            "dense": iaa_dense(h, GRID, settings),
+            "masked": masked_fft_iaa(h, np.ones(64, dtype=bool), GRID, settings),
+            "multichannel": multichannel_toa(cfr, GRID, settings)[0],
+        }
+
+    def test_capped_run_reports_not_converged(self):
+        # the random inputs of acceptance criterion 1 run into the 15-sweep cap
+        settings = IaaSettings()
+        for seed in range(3):
+            r = np.random.default_rng(seed)
+            h = r.standard_normal(64) + 1j * r.standard_normal(64)
+            for name, spec in self.estimates(h, settings).items():
+                assert spec.iterations == 15, name
+                assert spec.converged is False, name
+                assert spec.final_delta >= settings.convergence_tol, name
+
+    def test_loose_tolerance_reports_converged(self, rng):
+        h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        settings = IaaSettings(convergence_tol=1.0)
+        for name, spec in self.estimates(h, settings).items():
+            assert spec.converged is True, name
+            assert spec.final_delta < 1.0, name
+            assert spec.iterations < 15, name
+
+    def test_final_delta_agrees_across_implementations(self, rng):
+        h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        deltas = [s.final_delta for s in self.estimates(h, IaaSettings()).values()]
+        assert_allclose(deltas, deltas[0], rtol=1e-8)
+
+    def test_zero_channel_reports_converged(self):
+        cfr = CfrMatrix(data=np.zeros((64, 2), dtype=complex), srs=SRS)
+        for spec in multichannel_toa(cfr, GRID):
+            assert spec.iterations == 0
+            assert spec.converged is True
+            assert spec.final_delta == 0.0
