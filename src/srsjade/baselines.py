@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import maximum_filter
 
-from .calibration import calibrate_channel
-from .pipeline import DetectionError, JadeConfig, JadeEstimate, PathDetection, build_delay_grid
+from .pipeline import DetectionError, JadeConfig, JadeEstimate, PathDetection, prepare
 from .model import ArrayGeometry, CfrMatrix, ideal_steering_matrix
-from .preprocessing import preprocess
 from .toa import delay_dictionary
 
 
@@ -204,18 +202,9 @@ def _estimate_from_peaks(
     )
 
 
-def _prepare(cfr: CfrMatrix, cfg: JadeConfig) -> CfrMatrix:
-    if cfg.rf_response is not None:
-        cfr = calibrate_channel(cfr, cfg.rf_response)
-    if cfg.preprocess is not None:
-        cfr = preprocess(cfr, cfg.preprocess)
-    return cfr
-
-
 def periodogram_jade(cfr: CfrMatrix, cfg: JadeConfig, top_k: int = 5) -> JadeEstimate:
     """Periodogram baseline behind the shared pipeline contract."""
-    cfr = _prepare(cfr, cfg)
-    grid = build_delay_grid(cfr, cfg)
+    cfr, grid = prepare(cfr, cfg)
     geom = cfr.geometry or cfg.steering.geometry
     power, _ = periodogram_2d(cfr, geom, grid, cfg.angle_grid, top_k)
     search = grid.search_indices()
@@ -237,8 +226,7 @@ def music_jade(
     With no ``model_order`` the MDL rule picks one from the smoothed
     covariance spectrum.
     """
-    cfr = _prepare(cfr, cfg)
-    grid = build_delay_grid(cfr, cfg)
+    cfr, grid = prepare(cfr, cfg)
     geom = cfr.geometry or cfg.steering.geometry
     if model_order is None:
         cov, len_f, len_s = smoothed_covariance(cfr.data, smoothing)

@@ -68,10 +68,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(json.dumps(payload, indent=2))
     if args.dump_spectrum:
         jc = env.jade_configs["fft_iaa"]
-        work = cfr
-        if jc.preprocess is not None:
-            work = preprocessing.preprocess(work, jc.preprocess)
-        grid = pipeline.build_delay_grid(work, jc)
+        work, grid = pipeline.prepare(cfr, jc)
         spectra = toa.multichannel_toa(work, grid, jc.iaa, impl="fft")
         _dump_spectrum(Path(args.dump_spectrum), spectra)
     return EXIT_OK

@@ -170,17 +170,6 @@ def cbf_doa(
     return float(grid.angles_deg[int(np.argmax(spectrum))]), spectrum
 
 
-def _parabolic_refine(avg: np.ndarray, idx: int, step: float) -> float:
-    """Three-point parabolic delay correction around a peak, in seconds."""
-    if idx <= 0 or idx >= avg.size - 1:
-        return 0.0
-    y0, y1, y2 = avg[idx - 1], avg[idx], avg[idx + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom >= 0:
-        return 0.0
-    return float(0.5 * (y0 - y2) / denom) * step
-
-
 @dataclass(frozen=True)
 class JadeConfig:
     """Pipeline wiring for :func:`jade`.
@@ -199,7 +188,6 @@ class JadeConfig:
     detection_threshold_db: float = 10.0
     preprocess: PreprocessConfig | None = None
     rf_response: RfChannelResponse | None = None
-    toa_parabolic: bool = False
 
 
 def build_delay_grid(cfr: CfrMatrix, cfg: JadeConfig) -> DelayGrid:
@@ -213,13 +201,18 @@ def build_delay_grid(cfr: CfrMatrix, cfg: JadeConfig) -> DelayGrid:
     return DelayGrid.for_srs(cfr.srs, cfg.delay_points, search_span_s=(lo, hi))
 
 
-def jade(cfr: CfrMatrix, cfg: JadeConfig) -> JadeEstimate:
-    """Full pipeline: calibrate, reduce, estimate delays, pick LOS, beamform."""
+def prepare(cfr: CfrMatrix, cfg: JadeConfig) -> tuple[CfrMatrix, DelayGrid]:
+    """The opening every estimator shares: calibrate, reduce, build the grid."""
     if cfg.rf_response is not None:
         cfr = calibrate_channel(cfr, cfg.rf_response)
     if cfg.preprocess is not None:
         cfr = preprocess(cfr, cfg.preprocess)
-    grid = build_delay_grid(cfr, cfg)
+    return cfr, build_delay_grid(cfr, cfg)
+
+
+def jade(cfr: CfrMatrix, cfg: JadeConfig) -> JadeEstimate:
+    """Full pipeline: calibrate, reduce, estimate delays, pick LOS, beamform."""
+    cfr, grid = prepare(cfr, cfg)
     spectra = multichannel_toa(cfr, grid, cfg.iaa, impl=cfg.impl)
     avg = average_spectra(spectra)
     detections = detect_paths(avg, grid, cfg.detection_threshold_db)
@@ -228,16 +221,13 @@ def jade(cfr: CfrMatrix, cfg: JadeConfig) -> JadeEstimate:
         replace(d, channel_amplitudes=amps[:, d.grid_index]) for d in detections
     ]
     los = select_los(detections)
-    toa = los.delay_s + cfr.delay_offset_s
-    if cfg.toa_parabolic:
-        toa += _parabolic_refine(avg, los.grid_index, grid.step_s)
     doa, _ = cbf_doa(los.channel_amplitudes, cfg.steering, cfg.angle_grid)
     reported = tuple(
         replace(d, delay_s=d.delay_s + cfr.delay_offset_s) for d in detections
     )
     return JadeEstimate(
         doa_deg=doa,
-        toa_s=toa,
+        toa_s=los.delay_s + cfr.delay_offset_s,
         b_los=los.channel_amplitudes,
         iterations=max(s.iterations for s in spectra),
         detections=reported,

@@ -1,11 +1,13 @@
 """CFR denoising and dimension reduction via the impulse-response domain.
 
 Chain per measurement: estimate and remove one common phase slope (so the
-dominant tap sits near zero delay), transform each channel to the channel
+dominant tap sits near zero delay), transform every channel to the channel
 impulse response, zero everything outside a delay window, re-center the
-window block, and transform back to a short CFR.  Out-of-window delay taps
-carry no propagation information for a small-cell deployment, so dropping
-them suppresses noise while shrinking the matrix the estimators see.
+window block, and transform back to a short CFR.  Each transform runs once
+along axis 0 of the whole subcarrier-by-channel matrix.  Out-of-window delay
+taps carry no propagation information for a small-cell deployment, so
+dropping them suppresses noise while shrinking the matrix the estimators
+see.
 
 The constant delay shift introduced by slope removal and re-centering is
 recorded in the output's ``delay_offset_s`` so downstream TOA estimates can
@@ -54,22 +56,26 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class CirVector:
-    """One channel's impulse response on a uniform circular tap grid."""
+    """Impulse responses on a uniform circular tap grid.
+
+    ``taps`` is (T,) for one channel or (T, N) for N channels, taps along
+    axis 0.
+    """
 
     taps: np.ndarray
     tap_spacing_s: float
 
     def __post_init__(self) -> None:
         t = np.asarray(self.taps, dtype=complex)
-        if t.ndim != 1:
-            raise ValueError("CIR must be 1-D")
+        if t.ndim not in (1, 2):
+            raise ValueError("CIR taps must be (T,) or (T, N)")
         if not np.all(np.isfinite(t)):
             raise ValueError("CIR taps must be finite")
         object.__setattr__(self, "taps", t)
 
     @property
     def num_taps(self) -> int:
-        return self.taps.size
+        return self.taps.shape[0]
 
 
 def estimate_phase_slope(cfr: CfrMatrix) -> float:
@@ -131,17 +137,17 @@ def remove_phase_slope(cfr: CfrMatrix) -> tuple[CfrMatrix, float]:
 
 
 def cfr_to_cir(column: np.ndarray, ifft_points: int) -> CirVector:
-    """Inverse DFT of one (zero-padded) CFR column.
+    """Inverse DFT along axis 0 of a (zero-padded) CFR column or matrix.
 
     Normalization follows the inverse DFT, so sum|taps|^2 * ifft_points
-    equals sum|column|^2 (Parseval with that scaling).  The caller owns the
-    subcarrier spacing; tap spacing is 1 / (ifft_points * df) for spacing df
-    and is filled in by :func:`preprocess`.
+    equals sum|column|^2 per channel (Parseval with that scaling).  The
+    caller owns the subcarrier spacing; tap spacing is 1 / (ifft_points * df)
+    for spacing df and is filled in by :func:`preprocess`.
     """
     column = np.asarray(column, dtype=complex)
-    if ifft_points < column.size:
+    if ifft_points < column.shape[0]:
         raise ValueError("ifft_points must be >= the CFR length")
-    return CirVector(taps=np.fft.ifft(column, n=ifft_points), tap_spacing_s=np.nan)
+    return CirVector(taps=np.fft.ifft(column, n=ifft_points, axis=0), tap_spacing_s=np.nan)
 
 
 def window_cir(cir: CirVector, window_s: tuple[float, float]) -> CirVector:
@@ -150,7 +156,8 @@ def window_cir(cir: CirVector, window_s: tuple[float, float]) -> CirVector:
     n = cir.num_taps
     k = np.arange(n)
     delays = np.where(k < n / 2, k, k - n) * cir.tap_spacing_s
-    kept = np.where((delays >= lo - 1e-15) & (delays <= hi + 1e-15), cir.taps, 0.0)
+    inside = (delays >= lo - 1e-15) & (delays <= hi + 1e-15)
+    kept = np.where(inside.reshape((n,) + (1,) * (cir.taps.ndim - 1)), cir.taps, 0.0)
     return CirVector(taps=kept, tap_spacing_s=cir.tap_spacing_s)
 
 
@@ -158,16 +165,18 @@ def cir_to_reduced_cfr(cir: CirVector, fft_points_out: int) -> np.ndarray:
     """Forward DFT of the leading tap block (already windowed/re-centered)."""
     if fft_points_out > cir.num_taps:
         raise ValueError("output size cannot exceed the CIR length")
-    return np.fft.fft(cir.taps[:fft_points_out])
+    return np.fft.fft(cir.taps[:fft_points_out], axis=0)
 
 
 def preprocess(
     cfr: CfrMatrix, cfg: PreprocessConfig, slope: float | None = None
 ) -> CfrMatrix:
-    """Full reduction chain, one common slope then per-channel transforms.
+    """Full reduction chain, one common slope then one axis-0 chain.
 
-    ``slope`` overrides the estimate (used to push a clean reference signal
-    through the exact same linear chain as a noisy one).  Output carries the
+    The inverse transform, window, re-centering roll and forward transform
+    each run once on the whole subcarrier-by-channel matrix.  ``slope``
+    overrides the estimate (used to push a clean reference signal through
+    the exact same linear chain as a noisy one).  Output carries the
     recomputed subcarrier spacing df * ifft_points / fft_points_out and the
     accumulated ``delay_offset_s``; output energy is at most
     fft_points_out / ifft_points times input energy (inverse/forward DFT
@@ -192,13 +201,10 @@ def preprocess(
         slope = estimate_phase_slope(cfr)
     flat = apply_phase_slope(cfr, slope)
 
-    reduced = np.empty((cfg.fft_points_out, cfr.channel_count), dtype=complex)
-    for n in range(cfr.channel_count):
-        cir = cfr_to_cir(flat.data[:, n], cfg.ifft_points)
-        cir = CirVector(taps=cir.taps, tap_spacing_s=dt)
-        cir = window_cir(cir, cfg.delay_window_s)
-        block = CirVector(taps=np.roll(cir.taps, -k_lo), tap_spacing_s=dt)
-        reduced[:, n] = cir_to_reduced_cfr(block, cfg.fft_points_out)
+    cir = CirVector(taps=cfr_to_cir(flat.data, cfg.ifft_points).taps, tap_spacing_s=dt)
+    cir = window_cir(cir, cfg.delay_window_s)
+    block = CirVector(taps=np.roll(cir.taps, -k_lo, axis=0), tap_spacing_s=dt)
+    reduced = cir_to_reduced_cfr(block, cfg.fft_points_out)
 
     srs_out = SrsConfig(
         carrier_frequency_hz=cfr.srs.carrier_frequency_hz,

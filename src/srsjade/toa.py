@@ -3,19 +3,25 @@
 The estimator solves, grid point by grid point, a weighted least-squares fit
 of one delay signature against the channel snapshot, with the weight matrix
 being the inverse of the current signal covariance estimate; amplitude and
-covariance updates alternate until the spectrum stops changing.  Three
-implementations share one fixed point:
+covariance updates alternate until the spectrum stops changing.  One sweep
+driver owns that fixed point for a stack of channels: the matched-filter
+start, the diagonal loading, the convergence test with converged rows
+frozen, and the error paths.  Three kernels compute a sweep's numerators
+a_p^H Q h and denominators a_p^H Q a_p, with Q the inverse of the loaded
+covariance:
 
-* ``iaa_dense``: explicit dictionary-matrix reference, O(P M^2) per sweep.
-* ``fft_iaa``: exploits that the dictionary rows are rows of the P-point DFT
-  matrix, so numerators, the Capon-style denominators, and the
-  Toeplitz-Hermitian covariance rebuild each collapse to a single FFT.  The
-  covariance is Hermitian Toeplitz, so a sweep never forms its inverse Q:
-  one two-column solve gives Q e_0 and Q h, and the Gohberg-Semencul formula
-  turns Q e_0 into every lag sum of Q with FFT correlations, O(M log M).
-* ``masked_fft_iaa``: the same with an arbitrary subcarrier mask, realized
-  as gather/scatter around the FFT kernels; the gathered covariance is not
-  Toeplitz, so it keeps a general inverse.
+* dense (``iaa_dense``): the explicit dictionary matrix, O(P M^2) per
+  sweep, kept as a structurally distinct reference.
+* FFT-Toeplitz (``fft_iaa``): the dictionary rows are rows of the P-point
+  DFT matrix, so the covariance rebuild, numerators and denominators each
+  collapse to FFTs.  The covariance is Hermitian Toeplitz, so a sweep never
+  forms Q: one two-column solve gives Q e_0 and Q h, and the
+  Gohberg-Semencul formula turns Q e_0 into every lag sum of Q with FFT
+  correlations, O(M log M).
+* masked (``masked_fft_iaa``): an arbitrary subcarrier mask, realized as a
+  gather of the Toeplitz covariance and a scatter of its inverse around the
+  FFT stages; the gathered covariance is not Toeplitz, so it keeps a
+  general inverse.
 
 Every sweep reports its relative change; a spectrum carries the last one as
 ``final_delta`` and whether it met the tolerance as ``converged``.
@@ -24,6 +30,8 @@ Every sweep reports its relative change; a spectrum carries the last one as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -167,13 +175,6 @@ def matched_filter_numerators(vec: np.ndarray, num_grid_points: int) -> np.ndarr
     return out
 
 
-def _binned_lag_sums(values: np.ndarray, bins: np.ndarray, num_bins: int) -> np.ndarray:
-    """Complex sums of ``values`` grouped by the integer ``bins``."""
-    return np.bincount(bins, values.real, num_bins) + 1j * np.bincount(
-        bins, values.imag, num_bins
-    )
-
-
 def capon_denominators(q: np.ndarray, num_grid_points: int) -> np.ndarray:
     """a_p^H Q a_p for every grid delay via diagonal sums plus one FFT.
 
@@ -190,8 +191,9 @@ def capon_denominators(q: np.ndarray, num_grid_points: int) -> np.ndarray:
         raise ValueError("need P >= M")
     lag_bins = np.subtract.outer(np.arange(m), np.arange(m)).ravel() % p
     bins = (lag_bins + p * np.arange(b)[:, None]).ravel()
-    uvec = _binned_lag_sums(qb.ravel(), bins, b * p).reshape(b, p)
-    xi = np.real(p * np.fft.ifft(uvec, axis=-1))
+    values = qb.ravel()
+    uvec = np.bincount(bins, values.real, b * p) + 1j * np.bincount(bins, values.imag, b * p)
+    xi = np.real(p * np.fft.ifft(uvec.reshape(b, p), axis=-1))
     return xi[0] if single else xi
 
 
@@ -261,58 +263,46 @@ def _relative_change(new_mag: np.ndarray, old_mag: np.ndarray) -> np.ndarray:
     return np.max(np.abs(new_mag - old_mag), axis=-1) / scale
 
 
-def _fft_iaa_batch(
-    h_rows: np.ndarray, grid: DelayGrid, settings: IaaSettings
+def _iaa_sweeps(
+    h_rows: np.ndarray,
+    kept: int,
+    grid: DelayGrid,
+    settings: IaaSettings,
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> list[ToaSpectrum]:
-    """FFT-accelerated iterations for a stack of channels, shape (N, M).
+    """The IAA fixed point for a stack of channels ``h_rows``, shape (B, M).
 
-    Converged rows are frozen so each row's trajectory matches a standalone
-    single-channel run.
+    Rows are on the full M-tone layout, zero at tones not measured; ``kept``
+    tones were measured and scale the matched-filter start.  Each sweep calls
+    ``kernel(h, power, loading)`` for the active rows only, which returns the
+    numerators a_p^H Q h and the denominators a_p^H Q a_p, both (B, P); a
+    kernel raises ``np.linalg.LinAlgError`` when its covariance is not
+    positive definite.  Converged rows are frozen, so each row's trajectory
+    matches a standalone single-row run; all-zero rows take no sweep.
     """
-    n_rows, m = h_rows.shape
+    if not np.all(np.isfinite(h_rows)):
+        raise ValueError("channel vectors must be finite")
+    n_rows = h_rows.shape[0]
     p = grid.num_points
-    beta = np.fft.ifft(h_rows, n=p, axis=1) * (p / m)
+    beta = np.fft.ifft(h_rows, n=p, axis=1) * (p / kept)
     prev_mag = np.abs(beta)
     iterations = np.zeros(n_rows, dtype=int)
     final_delta = np.zeros(n_rows)
-    active = np.linalg.norm(h_rows, axis=1) > 0
-    beta[~active] = 0.0
-    diag_idx = np.arange(m)
-    # right-hand sides [e_0, h]: one solve gives Q e_0 and Q h
-    rhs = np.zeros((n_rows, m, 2), dtype=complex)
-    rhs[:, 0, 0] = 1.0
-    rhs[:, :, 1] = h_rows
-    # Q is Hermitian, so the real synthesis needs lags 0 .. M-1 only, with
-    # each nonzero lag standing in for itself and its conjugate mirror
-    lag_weights = np.full(m, 2.0)
-    lag_weights[0] = 1.0
+    active = np.any(h_rows != 0, axis=1)
 
     for it in range(1, settings.max_iterations + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        b = idx.size
-        cov = toeplitz_covariance(prev_mag[idx] ** 2, m)
-        loading = settings.diagonal_loading * np.real(cov[:, 0, 0])
-        cov[:, diag_idx, diag_idx] += loading[:, None]
+        power = prev_mag[idx] ** 2
+        # sum(power) is every diagonal entry of A diag(power) A^H
+        loading = settings.diagonal_loading * np.sum(power, axis=1)
         try:
-            sol = np.linalg.solve(cov, rhs[idx])
+            numer, denom = kernel(h_rows[idx], power, loading)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(
-                f"covariance solve failed at iteration {it} despite loading"
+                f"covariance solve failed at iteration {it} despite loading: {exc}"
             ) from exc
-        x, iota = sol[..., 0], sol[..., 1]
-        if not np.all(np.real(x[:, 0]) > 0):
-            raise EstimationError(
-                f"nonpositive inverse diagonal at iteration {it}; covariance not PD"
-            )
-        # one batched inverse FFT covers both the numerators and denominators
-        packed = np.zeros((2 * b, p), dtype=complex)
-        packed[:b, :m] = iota
-        packed[b:, :m] = lag_weights * _toeplitz_inverse_lag_sums(x)
-        transformed = p * np.fft.ifft(packed, axis=1)
-        numer = transformed[:b]
-        denom = np.real(transformed[b:])
         if not np.all(denom > 0):
             raise EstimationError(
                 f"nonpositive quadratic form at iteration {it}; covariance not PD"
@@ -338,6 +328,73 @@ def _fft_iaa_batch(
     ]
 
 
+def _toeplitz_kernel(
+    h: np.ndarray, power: np.ndarray, loading: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """FFT-Toeplitz sweep: never forms Q = R^-1.
+
+    One two-column solve gives Q e_0 and Q h; Gohberg-Semencul turns Q e_0
+    into the lag sums of Q, and one inverse FFT gives numerators and
+    denominators.
+    """
+    b, m = h.shape
+    p = power.shape[1]
+    cov = toeplitz_covariance(power, m)
+    diag_idx = np.arange(m)
+    cov[:, diag_idx, diag_idx] += loading[:, None]
+    # right-hand sides [e_0, h]: one solve gives Q e_0 and Q h
+    rhs = np.zeros((b, m, 2), dtype=complex)
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = h
+    sol = np.linalg.solve(cov, rhs)
+    x, iota = sol[..., 0], sol[..., 1]
+    if not np.all(np.real(x[:, 0]) > 0):
+        raise np.linalg.LinAlgError("nonpositive inverse diagonal; covariance not PD")
+    # Q is Hermitian, so the real synthesis needs lags 0 .. M-1 only, with
+    # each nonzero lag standing in for itself and its conjugate mirror
+    lag_weights = np.full(m, 2.0)
+    lag_weights[0] = 1.0
+    # one batched inverse FFT covers both the numerators and denominators
+    packed = np.zeros((2 * b, p), dtype=complex)
+    packed[:b, :m] = iota
+    packed[b:, :m] = lag_weights * _toeplitz_inverse_lag_sums(x)
+    transformed = p * np.fft.ifft(packed, axis=1)
+    return transformed[:b], np.real(transformed[b:])
+
+
+def _dense_kernel(
+    a: np.ndarray, h: np.ndarray, power: np.ndarray, loading: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference sweep with the explicit dictionary ``a`` (M x P), O(P M^2)."""
+    m = a.shape[0]
+    cov = (a * power[:, None, :]) @ a.conj().T
+    diag_idx = np.arange(m)
+    cov[:, diag_idx, diag_idx] += loading[:, None]
+    q = np.linalg.inv(cov)
+    numer = (a.conj().T @ (q @ h[:, :, None]))[:, :, 0]
+    denom = np.real(np.einsum("mp,bmp->bp", a.conj(), q @ a))
+    return numer, denom
+
+
+def _masked_kernel(
+    sel: np.ndarray, h: np.ndarray, power: np.ndarray, loading: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep on the tones ``sel``: general inverse of the gathered covariance.
+
+    The gathered J R J^T is not Toeplitz; its inverse is scattered back to
+    the full layout, J^T Q J, before the FFT stages.
+    """
+    b, m = h.shape
+    p = power.shape[1]
+    cov = toeplitz_covariance(power, m)[:, sel[:, None], sel]
+    diag_idx = np.arange(sel.size)
+    cov[:, diag_idx, diag_idx] += loading[:, None]
+    q_full = np.zeros((b, m, m), dtype=complex)
+    q_full[:, sel[:, None], sel] = np.linalg.inv(cov)
+    numer = matched_filter_numerators((q_full @ h[:, :, None])[:, :, 0], p)
+    return numer, capon_denominators(q_full, p)
+
+
 def fft_iaa(
     h: np.ndarray, grid: DelayGrid, settings: IaaSettings | None = None
 ) -> ToaSpectrum:
@@ -354,7 +411,7 @@ def fft_iaa(
         raise ValueError("expected a single channel vector")
     if h.size > grid.num_points:
         raise ValueError("need P >= M")
-    return _fft_iaa_batch(h[None, :], grid, settings)[0]
+    return _iaa_sweeps(h[None, :], h.size, grid, settings, _toeplitz_kernel)[0]
 
 
 def iaa_dense(
@@ -365,46 +422,10 @@ def iaa_dense(
     h = np.asarray(h, dtype=complex)
     if h.ndim != 1:
         raise ValueError("expected a single channel vector")
-    m = h.size
-    if m < 2:
+    if h.size < 2:
         raise ValueError("need at least 2 subcarriers")
-    a = delay_dictionary(grid, m)
-    beta = a.conj().T @ h / m
-    if not np.any(np.abs(h) > 0):
-        return ToaSpectrum(amplitudes=np.zeros_like(beta), grid=grid, iterations=0)
-    prev_mag = np.abs(beta)
-    iterations, delta = 0, 0.0
-    for it in range(1, settings.max_iterations + 1):
-        weights = prev_mag**2
-        cov = (a * weights) @ a.conj().T
-        loading = settings.diagonal_loading * np.mean(np.real(np.diag(cov)))
-        cov[np.arange(m), np.arange(m)] += loading
-        try:
-            q = np.linalg.inv(cov)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                f"covariance inversion failed at iteration {it} despite loading"
-            ) from exc
-        numer = a.conj().T @ (q @ h)
-        denom = np.real(np.einsum("mp,mp->p", a.conj(), q @ a))
-        if not np.all(denom > 0):
-            raise EstimationError(
-                f"nonpositive quadratic form at iteration {it}; covariance not PD"
-            )
-        new_beta = numer / denom
-        new_mag = np.abs(new_beta)
-        delta = float(_relative_change(new_mag, prev_mag))
-        beta, prev_mag = new_beta, new_mag
-        iterations = it
-        if delta < settings.convergence_tol:
-            break
-    return ToaSpectrum(
-        amplitudes=beta,
-        grid=grid,
-        iterations=iterations,
-        final_delta=delta,
-        converged=delta < settings.convergence_tol,
-    )
+    kernel = partial(_dense_kernel, delay_dictionary(grid, h.size))
+    return _iaa_sweeps(h[None, :], h.size, grid, settings, kernel)[0]
 
 
 def masked_fft_iaa(
@@ -424,64 +445,16 @@ def masked_fft_iaa(
     settings = settings or IaaSettings()
     mask = np.asarray(mask, dtype=bool)
     h_masked = np.asarray(h_masked, dtype=complex)
-    m_full = mask.size
     sel = np.flatnonzero(mask)
-    m_kept = sel.size
-    if m_kept < 2:
+    if sel.size < 2:
         raise EstimationError("mask keeps fewer than 2 subcarriers")
-    if h_masked.shape != (m_kept,):
+    if h_masked.shape != (sel.size,):
         raise ValueError("masked vector length must match the mask popcount")
-    if m_full > grid.num_points:
+    if mask.size > grid.num_points:
         raise ValueError("need P >= M")
-    p = grid.num_points
-
-    def scatter(values: np.ndarray) -> np.ndarray:
-        full = np.zeros(m_full, dtype=complex)
-        full[sel] = values
-        return full
-
-    beta = matched_filter_numerators(scatter(h_masked), p) / m_kept
-    if not np.any(np.abs(h_masked) > 0):
-        return ToaSpectrum(amplitudes=np.zeros(p, dtype=complex), grid=grid, iterations=0)
-    prev_mag = np.abs(beta)
-    iterations, delta = 0, 0.0
-    pair_lags = np.subtract.outer(sel, sel)
-    pair_bins = pair_lags.ravel() % p
-
-    for it in range(1, settings.max_iterations + 1):
-        first_col = _covariance_lags(prev_mag**2, m_full)
-        lag_values = np.concatenate([first_col[:0:-1].conj(), first_col])
-        cov = lag_values[pair_lags + m_full - 1]
-        loading = settings.diagonal_loading * np.real(first_col[0])
-        cov[np.arange(m_kept), np.arange(m_kept)] += loading
-        try:
-            q = np.linalg.inv(cov)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                f"masked covariance inversion failed at iteration {it}"
-            ) from exc
-        numer = matched_filter_numerators(scatter(q @ h_masked), p)
-        # diagonal sums of the scattered J^T Q J, binned by full-index lag mod P
-        uvec = _binned_lag_sums(q.ravel(), pair_bins, p)
-        denom = np.real(p * np.fft.ifft(uvec))
-        if not np.all(denom > 0):
-            raise EstimationError(
-                f"nonpositive masked quadratic form at iteration {it}"
-            )
-        new_beta = numer / denom
-        new_mag = np.abs(new_beta)
-        delta = float(_relative_change(new_mag, prev_mag))
-        beta, prev_mag = new_beta, new_mag
-        iterations = it
-        if delta < settings.convergence_tol:
-            break
-    return ToaSpectrum(
-        amplitudes=beta,
-        grid=grid,
-        iterations=iterations,
-        final_delta=delta,
-        converged=delta < settings.convergence_tol,
-    )
+    h_full = np.zeros((1, mask.size), dtype=complex)
+    h_full[0, sel] = h_masked
+    return _iaa_sweeps(h_full, sel.size, grid, settings, partial(_masked_kernel, sel))[0]
 
 
 def multichannel_toa(
@@ -494,10 +467,13 @@ def multichannel_toa(
     settings = settings or IaaSettings()
     if abs(grid.subcarrier_spacing_hz - cfr.srs.subcarrier_spacing_hz) > 1e-6 * cfr.srs.subcarrier_spacing_hz:
         raise ValueError("delay grid was built for a different subcarrier spacing")
-    if impl == "fft":
-        return _fft_iaa_batch(np.ascontiguousarray(cfr.data.T), grid, settings)
-    if impl == "dense":
-        return [iaa_dense(cfr.data[:, n], grid, settings) for n in range(cfr.channel_count)]
     if impl == "periodogram":
         return [periodogram_toa(cfr.data[:, n], grid) for n in range(cfr.channel_count)]
-    raise ValueError(f"unknown implementation {impl!r}")
+    m = cfr.num_subcarriers
+    if impl == "fft":
+        kernel = _toeplitz_kernel
+    elif impl == "dense":
+        kernel = partial(_dense_kernel, delay_dictionary(grid, m))
+    else:
+        raise ValueError(f"unknown implementation {impl!r}")
+    return _iaa_sweeps(np.ascontiguousarray(cfr.data.T), m, grid, settings, kernel)

@@ -118,6 +118,13 @@ class TestWindowCir:
         assert out.taps[120] == 0.25
         assert out.taps[70] == 0.0
 
+    def test_two_dim_taps_match_columns(self, rng):
+        taps = rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))
+        out = window_cir(CirVector(taps, tap_spacing_s=1e-9), (-10e-9, 20e-9))
+        for n in range(3):
+            col = window_cir(CirVector(taps[:, n], tap_spacing_s=1e-9), (-10e-9, 20e-9))
+            assert np.array_equal(out.taps[:, n], col.taps)
+
     def test_paper_style_window_bounds(self):
         # +-166.67 ns corresponds to +-50 m
         assert 166.67e-9 * 299792458.0 == pytest.approx(50.0, rel=2e-3)
@@ -133,6 +140,13 @@ class TestCirToReducedCfr:
         reduced = cir_to_reduced_cfr(cir, 64)
         srs_out = SrsConfig(4.85e9, 60e3 * 2048 / 64, 64)
         assert_allclose(reduced, delay_signature(srs_out, tau), rtol=0, atol=1e-6)
+
+    def test_two_dim_taps_match_columns(self, rng):
+        taps = rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))
+        out = cir_to_reduced_cfr(CirVector(taps, 1e-9), 64)
+        assert out.shape == (64, 3)
+        for n in range(3):
+            assert np.array_equal(out[:, n], cir_to_reduced_cfr(CirVector(taps[:, n], 1e-9), 64))
 
     def test_zero_cir_gives_zero_output(self):
         cir = CirVector(np.zeros(128, dtype=complex), 1e-9)
@@ -185,6 +199,22 @@ class TestPreprocessChain:
         rel = np.linalg.norm(red2.data - red.data) / np.linalg.norm(red.data)
         assert rel < 1e-9
         assert red2.delay_offset_s == pytest.approx(red.delay_offset_s, abs=1e-12)
+
+    def test_matches_per_channel_helper_chain(self):
+        # the axis-0 chain equals the 1-D helpers applied column by column
+        cfr = multipath_cfr(
+            [PathParam(12.0, 60e-9, 1.0, is_los=True), PathParam(-30.0, 140e-9, 0.6)],
+            noise=NoiseSpec(2.0), seed=4,
+        )
+        red = preprocess(cfr, CFG)
+        flat, _ = remove_phase_slope(cfr)
+        dt = 1.0 / (CFG.ifft_points * SRS.subcarrier_spacing_hz)
+        k_lo = int(np.ceil(CFG.delay_window_s[0] / dt - 1e-9))
+        for n in range(cfr.channel_count):
+            cir = CirVector(cfr_to_cir(flat.data[:, n], CFG.ifft_points).taps, dt)
+            cir = window_cir(cir, CFG.delay_window_s)
+            block = CirVector(np.roll(cir.taps, -k_lo), dt)
+            assert np.array_equal(red.data[:, n], cir_to_reduced_cfr(block, CFG.fft_points_out))
 
     def test_window_wider_than_output_rejected(self):
         cfg = PreprocessConfig.from_ns(2048, -400.0, 400.0, 64)

@@ -293,23 +293,34 @@ class TestMaskedIaa:
         assert rel < 1e-12
         assert masked.iterations == full.iterations
 
-    def test_matches_dense_selection_matrix_oracle(self, rng):
+    def test_matches_dense_selection_matrix_oracle(self):
+        # every kernel of the shared sweep driver against the literal
+        # selection-matrix transcription: masked on random masks, fft and
+        # dense on all tones
         a = delay_dictionary(GRID, 64)
         s = IaaSettings()
-        for seed in range(3):
-            r = np.random.default_rng(seed)
-            mask = r.random(64) > 0.2
-            mask[:2] = True
-            h_full = tone(GRID.delays_s[150]) + 0.1 * (
-                r.standard_normal(64) + 1j * r.standard_normal(64)
-            )
-            h_masked = h_full[mask]
-            fast = masked_fft_iaa(h_masked, mask, GRID, s)
-            dense = masked_iaa_dense(
-                h_masked, mask, a, s.max_iterations, s.convergence_tol, s.diagonal_loading
-            )
-            rel = np.max(np.abs(fast.amplitudes - dense)) / np.max(np.abs(dense))
-            assert rel < 1e-9
+        estimators = {
+            "masked": lambda h, mask: masked_fft_iaa(h[mask], mask, GRID, s),
+            "fft": lambda h, mask: fft_iaa(h, GRID, s),
+            "dense": lambda h, mask: iaa_dense(h, GRID, s),
+        }
+        for name, estimate in estimators.items():
+            for seed in range(3):
+                r = np.random.default_rng(seed)
+                mask = r.random(64) > 0.2
+                mask[:2] = True
+                if name != "masked":
+                    mask[:] = True
+                h_full = tone(GRID.delays_s[150]) + 0.1 * (
+                    r.standard_normal(64) + 1j * r.standard_normal(64)
+                )
+                fast = estimate(h_full, mask)
+                dense = masked_iaa_dense(
+                    h_full[mask], mask, a, s.max_iterations, s.convergence_tol,
+                    s.diagonal_loading,
+                )
+                rel = np.max(np.abs(fast.amplitudes - dense)) / np.max(np.abs(dense))
+                assert rel < 1e-9, name
 
     def test_twenty_percent_mask_monte_carlo(self):
         # strong single path, 20% tones dropped, 10 dB SNR: peak at true index
@@ -373,11 +384,45 @@ class TestMultichannel:
             rel = np.max(np.abs(d.amplitudes - f.amplitudes)) / np.max(np.abs(d.amplitudes))
             assert rel < 1e-9
 
+    def test_dense_rows_match_standalone_runs(self):
+        # the batched dense sweep freezes converged rows and skips a zero column
+        srs = SrsConfig(4.85e9, 1.92e6, 32)
+        grid = DelayGrid.for_srs(srs, 512)
+        r = np.random.default_rng(0)
+        data = r.standard_normal((32, 4)) + 1j * r.standard_normal((32, 4))
+        data[:, 2] = 0.0
+        settings = IaaSettings(convergence_tol=3e-3)
+        spectra = multichannel_toa(CfrMatrix(data=data, srs=srs), grid, settings, impl="dense")
+        for n, spec in enumerate(spectra):
+            ref = iaa_dense(data[:, n], grid, settings)
+            assert_allclose(spec.amplitudes, ref.amplitudes, rtol=1e-12)
+            assert spec.iterations == ref.iterations
+            assert spec.final_delta == ref.final_delta
+        assert spectra[2].iterations == 0
+        # rows stop at different sweeps, so frozen rows are exercised
+        assert len({s.iterations for s in spectra if s.iterations}) > 1
+
     def test_wrong_grid_spacing_rejected(self, rng):
         cfr = CfrMatrix(data=np.ones((64, 2)), srs=SRS)
         wrong = DelayGrid(1024, 1e6)
         with pytest.raises(ValueError):
             multichannel_toa(cfr, wrong)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_by_every_estimator(self, bad):
+        # a non-finite tone must not pass as an all-zero channel
+        h = tone(GRID.delays_s[100])
+        h[5] = bad
+        estimators = (
+            fft_iaa,
+            iaa_dense,
+            lambda h, grid: masked_fft_iaa(h, np.ones(64, dtype=bool), grid),
+        )
+        for estimate in estimators:
+            with pytest.raises(ValueError):
+                estimate(h, GRID)
 
 
 class TestConvergenceBehavior:
