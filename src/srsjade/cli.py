@@ -51,15 +51,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     cfr = harness.synthesize_trial(env, truth, args.seed, 0, 0)
     names = [args.estimator] if args.estimator else list(env.estimators)
-    out = {}
-    for name in names:
-        if name not in harness.ESTIMATOR_NAMES:
-            raise ConfigError(f"unknown estimator {name!r}")
-        est = harness.run_estimator(
-            env, name, cfr,
-            model_order=len(truth.paths) if name == "music" else None,
-        )
-        out[name] = est.to_json_dict()
+    out = {
+        name: harness.run_estimator(env, name, cfr, len(truth.paths)).to_json_dict()
+        for name in names
+    }
     los = truth.los
     payload = {
         "truth": {"doa_deg": los.doa_deg, "toa_ns": los.toa_s * 1e9},
@@ -108,11 +103,7 @@ def _cmd_calibrate_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = harness.load_config(args.config)
-    pp = cfg["preprocess"]
-    pcfg = preprocessing.PreprocessConfig.from_ns(
-        int(pp["ifft_points"]), pp["window_lo_ns"], pp["window_hi_ns"], int(pp["fft_points_out"])
-    )
+    pcfg = harness.preprocess_config(harness.load_config(args.config))
     cfr = model.load_cfr_csv(args.infile)
     reduced = preprocessing.preprocess(cfr, pcfg)
     model.save_cfr_csv(reduced, args.outfile)

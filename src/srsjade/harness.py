@@ -11,34 +11,60 @@ sharded across workers without coordination.
 
 from __future__ import annotations
 
+import copy
 import csv
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
+import jsonschema
 import numpy as np
 
 from . import baselines, calibration, model, pipeline, positioning, preprocessing, toa
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 
 class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
 
 
-ESTIMATOR_NAMES = ("fft_iaa", "dense_iaa", "periodogram", "music")
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator of the comparison: its steering model, IAA kernel and runner.
+
+    ``run(cfr, jade_config, smoothing, path_count)`` returns the estimate;
+    only smoothed MUSIC uses the trial's path count, as its model order.
+    """
+
+    calibrated: bool
+    impl: str
+    run: Callable[..., pipeline.JadeEstimate]
+
+
+# proposed estimators use the calibrated model; 2-D baselines need the
+# ideal Vandermonde manifold and cannot absorb direction-dependent errors
+ESTIMATORS = {
+    "fft_iaa": Estimator(True, "fft", lambda cfr, jc, sm, paths: pipeline.jade(cfr, jc)),
+    "dense_iaa": Estimator(True, "dense", lambda cfr, jc, sm, paths: pipeline.jade(cfr, jc)),
+    "periodogram": Estimator(
+        False, "fft", lambda cfr, jc, sm, paths: baselines.periodogram_jade(cfr, jc)
+    ),
+    "music": Estimator(
+        False, "fft", lambda cfr, jc, sm, paths: baselines.music_jade(cfr, jc, sm, paths)
+    ),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _INT = {"type": "integer", "minimum": 1}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 
+# The one declaration of every setting: each block property carries the
+# default that validate_config fills in when a config leaves it out.
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -59,143 +85,112 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "num_elements": {"type": "integer", "minimum": 2},
-                "spacing_m": {"type": ["number", "null"], "exclusiveMinimum": 0},
+                "num_elements": {"type": "integer", "minimum": 2, "default": 4},
+                "spacing_m": {"type": ["number", "null"], "exclusiveMinimum": 0, "default": None},
             },
         },
         "scenario": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "path_counts": {"type": "array", "items": _INT, "minItems": 1},
-                "snr_db": {"type": "array", "items": _NUM, "minItems": 1},
-                "trials": _INT,
-                "doa_span_deg": _PAIR,
-                "toa_span_ns": _PAIR,
-                "noise_variance": _POS,
+                "path_counts": {"type": "array", "items": _INT, "minItems": 1, "default": [5]},
+                "snr_db": {"type": "array", "items": _NUM, "minItems": 1, "default": [-10.0]},
+                "trials": {**_INT, "default": 100},
+                "doa_span_deg": {**_PAIR, "default": [-60.0, 60.0]},
+                "toa_span_ns": {**_PAIR, "default": [0.0, 166.67]},
+                "noise_variance": {**_POS, "default": 2.0},
             },
         },
         "calibration": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "enabled": {"type": "boolean"},
-                "profile_seed": {"type": "integer", "minimum": 0},
-                "max_phase_deg": {"type": "number", "minimum": 0},
-                "measurement_step_deg": _POS,
-                "fit_order": {"type": "integer", "minimum": 0},
+                "enabled": {"type": "boolean", "default": True},
+                "profile_seed": {"type": "integer", "minimum": 0, "default": 7},
+                "max_phase_deg": {"type": "number", "minimum": 0, "default": 40.0},
+                "measurement_step_deg": {**_POS, "default": 5.0},
+                "fit_order": {"type": "integer", "minimum": 0, "default": 4},
             },
         },
         "preprocess": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "enabled": {"type": "boolean"},
-                "ifft_points": {"type": "integer", "minimum": 2},
-                "window_lo_ns": _NUM,
-                "window_hi_ns": _NUM,
-                "fft_points_out": {"type": "integer", "minimum": 2},
+                "enabled": {"type": "boolean", "default": False},
+                "ifft_points": {"type": "integer", "minimum": 2, "default": 2048},
+                "window_lo_ns": {**_NUM, "default": -256.0},
+                "window_hi_ns": {**_NUM, "default": 256.0},
+                "fft_points_out": {"type": "integer", "minimum": 2, "default": 64},
             },
         },
         "estimators": {
             "type": "array",
             "items": {"enum": list(ESTIMATOR_NAMES)},
             "minItems": 1,
+            "default": ["fft_iaa"],
         },
         "grids": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "delay_points": {"type": ["integer", "null"], "minimum": 2},
-                "angle_lo_deg": _NUM,
-                "angle_hi_deg": _NUM,
-                "angle_step_deg": _POS,
-                "search_range_m": _PAIR,
+                "delay_points": {"type": ["integer", "null"], "minimum": 2, "default": None},
+                "angle_lo_deg": {**_NUM, "default": -60.0},
+                "angle_hi_deg": {**_NUM, "default": 60.0},
+                "angle_step_deg": {**_POS, "default": 0.2},
+                "search_range_m": {**_PAIR, "default": [0.0, 50.0]},
             },
         },
         "iaa": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "max_iterations": _INT,
-                "convergence_tol": _POS,
-                "diagonal_loading": {"type": "number", "minimum": 0},
+                "max_iterations": {**_INT, "default": 15},
+                "convergence_tol": {**_POS, "default": 1e-4},
+                "diagonal_loading": {"type": "number", "minimum": 0, "default": 1e-8},
             },
         },
         "detection": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"threshold_db": _POS},
+            "properties": {"threshold_db": {**_POS, "default": 10.0}},
         },
         "smoothing": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"freq_order": _INT, "space_order": _INT},
+            "properties": {
+                "freq_order": {**_INT, "default": 6},
+                "space_order": {**_INT, "default": 2},
+            },
         },
         "positioning": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"trp_position_m": _PAIR, "boresight_deg": _NUM},
+            "properties": {
+                "trp_position_m": {**_PAIR, "default": [0.0, 0.0]},
+                "boresight_deg": {**_NUM, "default": 0.0},
+            },
         },
     },
 }
 
-DEFAULTS = {
-    "array": {"num_elements": 4, "spacing_m": None},
-    "scenario": {
-        "path_counts": [5],
-        "snr_db": [-10.0],
-        "trials": 100,
-        "doa_span_deg": [-60.0, 60.0],
-        "toa_span_ns": [0.0, 166.67],
-        "noise_variance": 2.0,
-    },
-    "calibration": {
-        "enabled": True,
-        "profile_seed": 7,
-        "max_phase_deg": 40.0,
-        "measurement_step_deg": 5.0,
-        "fit_order": 4,
-    },
-    "preprocess": {
-        "enabled": False,
-        "ifft_points": 2048,
-        "window_lo_ns": -256.0,
-        "window_hi_ns": 256.0,
-        "fft_points_out": 64,
-    },
-    "estimators": ["fft_iaa"],
-    "grids": {
-        "delay_points": None,
-        "angle_lo_deg": -60.0,
-        "angle_hi_deg": 60.0,
-        "angle_step_deg": 0.2,
-        "search_range_m": [0.0, 50.0],
-    },
-    "iaa": {"max_iterations": 15, "convergence_tol": 1e-4, "diagonal_loading": 1e-8},
-    "detection": {"threshold_db": 10.0},
-    "smoothing": {"freq_order": 6, "space_order": 2},
-    "positioning": {"trp_position_m": [0.0, 0.0], "boresight_deg": 0.0},
-}
-
 
 def validate_config(raw: dict) -> dict:
-    """Schema-check a raw config dict and fill defaults for absent blocks."""
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path)
-            raise ConfigError(f"{path}: {exc.message}") from exc
-    elif "waveform" not in raw:  # pragma: no cover
-        raise ConfigError("$.waveform: required")
+    """Schema-check a raw config dict and fill absent keys from the schema defaults."""
+    try:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        path = "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path)
+        raise ConfigError(f"{path}: {exc.message}") from exc
     cfg = {}
-    for key, block in DEFAULTS.items():
-        if isinstance(block, dict):
-            cfg[key] = {**block, **raw.get(key, {})}
-        else:
-            cfg[key] = raw.get(key, block)
-    cfg["waveform"] = dict(raw["waveform"])
+    for key, spec in CONFIG_SCHEMA["properties"].items():
+        if "properties" in spec:
+            given = raw.get(key, {})
+            cfg[key] = {
+                name: given[name] if name in given else copy.deepcopy(prop["default"])
+                for name, prop in spec["properties"].items()
+            }
+        elif "default" in spec:
+            cfg[key] = raw.get(key, copy.deepcopy(spec["default"]))
     return cfg
 
 
@@ -219,6 +214,14 @@ class Environment:
     pose: positioning.TrpPose
     scenario: dict
     estimators: tuple[str, ...]
+
+
+def preprocess_config(cfg: dict) -> preprocessing.PreprocessConfig:
+    """The reduction the config's ``preprocess`` block describes."""
+    pp = cfg["preprocess"]
+    return preprocessing.PreprocessConfig.from_ns(
+        int(pp["ifft_points"]), pp["window_lo_ns"], pp["window_hi_ns"], int(pp["fft_points_out"])
+    )
 
 
 def build_environment(cfg: dict) -> Environment:
@@ -254,14 +257,7 @@ def build_environment(cfg: dict) -> Environment:
         g["search_range_m"][0] / model.SPEED_OF_LIGHT,
         g["search_range_m"][1] / model.SPEED_OF_LIGHT,
     )
-    pp = cfg["preprocess"]
-    pre = (
-        preprocessing.PreprocessConfig.from_ns(
-            int(pp["ifft_points"]), pp["window_lo_ns"], pp["window_hi_ns"], int(pp["fft_points_out"])
-        )
-        if pp["enabled"]
-        else None
-    )
+    pre = preprocess_config(cfg) if cfg["preprocess"]["enabled"] else None
     iaa = toa.IaaSettings(
         max_iterations=int(cfg["iaa"]["max_iterations"]),
         convergence_tol=float(cfg["iaa"]["convergence_tol"]),
@@ -270,25 +266,18 @@ def build_environment(cfg: dict) -> Environment:
     delay_points = cfg["grids"]["delay_points"]
     delay_points = int(delay_points) if delay_points is not None else None
 
-    def make(steering: model.SteeringModel, impl: str) -> pipeline.JadeConfig:
-        return pipeline.JadeConfig(
-            steering=steering,
+    jade_configs = {
+        name: pipeline.JadeConfig(
+            steering=calibrated if est.calibrated else ideal,
             angle_grid=angle_grid,
             iaa=iaa,
-            impl=impl,
+            impl=est.impl,
             delay_points=delay_points,
             search_span_s=search_span,
             detection_threshold_db=float(cfg["detection"]["threshold_db"]),
             preprocess=pre,
         )
-
-    # proposed estimators use the calibrated model; 2-D baselines need the
-    # ideal Vandermonde manifold and cannot absorb direction-dependent errors
-    jade_configs = {
-        "fft_iaa": make(calibrated, "fft"),
-        "dense_iaa": make(calibrated, "dense"),
-        "periodogram": make(ideal, "fft"),
-        "music": make(ideal, "fft"),
+        for name, est in ESTIMATORS.items()
     }
     pos = cfg["positioning"]
     return Environment(
@@ -341,15 +330,9 @@ def synthesize_trial(
 
 
 def run_estimator(env: Environment, name: str, cfr: model.CfrMatrix,
-                  model_order: int | None = None) -> pipeline.JadeEstimate:
-    cfg = env.jade_configs[name]
-    if name in ("fft_iaa", "dense_iaa"):
-        return pipeline.jade(cfr, cfg)
-    if name == "periodogram":
-        return baselines.periodogram_jade(cfr, cfg)
-    if name == "music":
-        return baselines.music_jade(cfr, cfg, env.smoothing, model_order)
-    raise ConfigError(f"$.estimators: unknown estimator {name!r}")
+                  path_count: int) -> pipeline.JadeEstimate:
+    """Run the named estimator on a trial with ``path_count`` true paths."""
+    return ESTIMATORS[name].run(cfr, env.jade_configs[name], env.smoothing, path_count)
 
 
 @dataclass(frozen=True)
@@ -371,10 +354,9 @@ class TrialRecord:
     wall_ns: dict[str, int]
 
     def rows(self):
-        """Flat per-estimator tuples in estimator-name order."""
+        """Flat (name, doa, toa, pos) error tuples in estimator-name order."""
         for name in sorted(self.estimates):
-            doa, toa, pos = self.errors[name]
-            yield name, doa, toa, pos, self.wall_ns[name]
+            yield (name, *self.errors[name])
 
 
 def _run_trial(env: Environment, master_seed: int, cell: int, path_count: int,
@@ -388,7 +370,7 @@ def _run_trial(env: Environment, master_seed: int, cell: int, path_count: int,
     estimates, errors, walls = {}, {}, {}
     for name in env.estimators:
         t0 = time.perf_counter_ns()
-        est = run_estimator(env, name, cfr, model_order=path_count if name == "music" else None)
+        est = run_estimator(env, name, cfr, path_count)
         walls[name] = int(time.perf_counter_ns() - t0)
         fix = positioning.single_site_fix(env.pose, est.doa_deg, est.toa_s * model.SPEED_OF_LIGHT)
         estimates[name] = est
@@ -409,19 +391,19 @@ def _run_trial(env: Environment, master_seed: int, cell: int, path_count: int,
     )
 
 
-_WORKER_ENV: Environment | None = None
-_WORKER_SEED: int = 0
+_WORKER: dict = {}
 
 
 def _init_worker(cfg: dict, master_seed: int) -> None:
-    global _WORKER_ENV, _WORKER_SEED
-    _WORKER_ENV = build_environment(cfg)
-    _WORKER_SEED = master_seed
+    _WORKER.update(cfg=cfg, seed=master_seed)
 
 
-def _worker_trial(args: tuple[int, int, float, int]) -> TrialRecord:
-    cell, path_count, snr_db, trial = args
-    return _run_trial(_WORKER_ENV, _WORKER_SEED, cell, path_count, snr_db, trial)
+def _worker_trial(task: tuple[int, int, float, int]) -> TrialRecord:
+    # built on first use, not in the initializer: a config fault then reaches
+    # the caller as its own exception, not as a broken pool
+    if "env" not in _WORKER:
+        _WORKER["env"] = build_environment(_WORKER["cfg"])
+    return _run_trial(_WORKER["env"], _WORKER["seed"], *task)
 
 
 def run_monte_carlo(
@@ -432,17 +414,10 @@ def run_monte_carlo(
     Outputs (results.csv, summary.json, plot tables) are deterministic for a
     fixed (config, master seed); wall times go to a separate timing.json.
     """
-    env = build_environment(cfg)
-    sc = env.scenario
-    cells = [
-        (idx, int(pc), float(snr))
-        for idx, (pc, snr) in enumerate(
-            (pc, snr) for pc in sc["path_counts"] for snr in sc["snr_db"]
-        )
-    ]
+    sc = cfg["scenario"]
     tasks = [
-        (cell, pc, snr, trial)
-        for cell, pc, snr in cells
+        (cell, int(pc), float(snr), trial)
+        for cell, (pc, snr) in enumerate(itertools.product(sc["path_counts"], sc["snr_db"]))
         for trial in range(int(sc["trials"]))
     ]
     if workers > 1:
@@ -451,6 +426,7 @@ def run_monte_carlo(
         ) as pool:
             records = list(pool.map(_worker_trial, tasks, chunksize=4))
     else:
+        env = build_environment(cfg)
         records = [_run_trial(env, master_seed, *t) for t in tasks]
     records.sort(key=lambda r: (r.path_count, r.snr_db, r.trial))
     if out_dir is not None:
@@ -466,7 +442,7 @@ def write_results(records: list[TrialRecord], cfg: dict, master_seed: int, out_d
             ["path_count", "snr_db", "trial", "estimator", "doa_err_deg", "toa_err_ns", "pos_err_m"]
         )
         for r in records:
-            for name, doa, toa, pos, _ in r.rows():
+            for name, doa, toa, pos in r.rows():
                 writer.writerow(
                     [r.path_count, repr(r.snr_db), r.trial, name,
                      repr(doa), repr(toa), repr(pos)]
@@ -488,13 +464,18 @@ def write_results(records: list[TrialRecord], cfg: dict, master_seed: int, out_d
     emit_plot_data(records, out_dir / "plots")
 
 
-def summarize(records: list[TrialRecord], master_seed: int) -> dict:
+def _cells(records: list[TrialRecord]) -> dict[tuple[int, float, str], list[tuple]]:
+    """(doa, toa, pos) signed errors grouped by (path count, SNR, estimator)."""
     cells: dict[tuple, list] = {}
     for r in records:
-        for name, doa, toa, pos, _ in r.rows():
+        for name, doa, toa, pos in r.rows():
             cells.setdefault((r.path_count, r.snr_db, name), []).append((doa, toa, pos))
+    return cells
+
+
+def summarize(records: list[TrialRecord], master_seed: int) -> dict:
     out = []
-    for (pc, snr, name), rows in sorted(cells.items()):
+    for (pc, snr, name), rows in sorted(_cells(records).items()):
         zero = [0.0] * len(rows)
         doa = positioning.error_stats([x[0] for x in rows], zero)
         toa = positioning.error_stats([x[1] for x in rows], zero)
@@ -517,11 +498,10 @@ def emit_plot_data(records: list[TrialRecord], out_dir: Path) -> None:
     """Per-figure CSVs: error CDFs per cell and percentile-vs-SNR tables."""
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = {"doa_deg": 0, "toa_ns": 1, "pos_m": 2}
-    cells: dict[tuple, list] = {}
-    for r in records:
-        for name, doa, toa, pos, _ in r.rows():
-            cells.setdefault((r.path_count, r.snr_db, name), []).append((abs(doa), abs(toa), pos))
-
+    cells = {
+        key: [tuple(abs(e) for e in row) for row in rows]
+        for key, rows in _cells(records).items()
+    }
     for metric, col in metrics.items():
         for (pc, snr, name), rows in sorted(cells.items()):
             path = out_dir / f"cdf_{metric}_paths{pc}_snr{snr:+g}_{name}.csv"
@@ -559,9 +539,12 @@ def run_benchmark(
     applied once up front so all estimators see the same already-reduced
     matrix (the estimator configs are stripped of their preprocess stage).
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     env = build_environment(cfg)
     sc = env.scenario
-    truth = generate_scenario(env, int(sc["path_counts"][0]), float(sc["snr_db"][0]), master_seed, 0, 0)
+    order = int(sc["path_counts"][0])
+    truth = generate_scenario(env, order, float(sc["snr_db"][0]), master_seed, 0, 0)
     cfr = synthesize_trial(env, truth, master_seed, 0, 0)
     pre = env.jade_configs["fft_iaa"].preprocess
     if pre is not None:
@@ -570,15 +553,14 @@ def run_benchmark(
             name: replace(jc, preprocess=None) for name, jc in env.jade_configs.items()
         }
         env = replace(env, jade_configs=stripped)
-    order = int(sc["path_counts"][0])
     table = {}
     for name in env.estimators:
         for _ in range(3):  # warm-up
-            run_estimator(env, name, cfr, model_order=order if name == "music" else None)
+            run_estimator(env, name, cfr, order)
         samples = []
         for _ in range(runs):
             t0 = time.perf_counter_ns()
-            run_estimator(env, name, cfr, model_order=order if name == "music" else None)
+            run_estimator(env, name, cfr, order)
             samples.append(time.perf_counter_ns() - t0)
         table[name] = {
             "runs": runs,

@@ -60,13 +60,20 @@ class PathDetection:
 
 @dataclass(frozen=True)
 class JadeEstimate:
-    """Joint estimate for the direct path, with diagnostics."""
+    """Joint estimate for the direct path, with diagnostics.
+
+    ``converged`` says whether every channel's IAA met its tolerance and
+    ``final_delta`` is the largest last-sweep relative change over the
+    channels; estimators that run no sweep keep ``True`` and ``0.0``.
+    """
 
     doa_deg: float
     toa_s: float
     b_los: np.ndarray | None
     iterations: int
     detections: tuple[PathDetection, ...]
+    converged: bool = True
+    final_delta: float = 0.0
 
     def to_json_dict(self) -> dict:
         amps = np.array([d.mean_amplitude for d in self.detections])
@@ -76,6 +83,8 @@ class JadeEstimate:
             "toa_ns": round(float(self.toa_s) * 1e9, 6),
             "range_m": round(float(self.toa_s) * SPEED_OF_LIGHT, 6),
             "n_iterations": int(self.iterations),
+            "converged": bool(self.converged),
+            "final_delta": float(self.final_delta),
             "detections": [
                 {
                     "delay_ns": round(float(d.delay_s) * 1e9, 6),
@@ -231,4 +240,6 @@ def jade(cfr: CfrMatrix, cfg: JadeConfig) -> JadeEstimate:
         b_los=los.channel_amplitudes,
         iterations=max(s.iterations for s in spectra),
         detections=reported,
+        converged=all(s.converged for s in spectra),
+        final_delta=max(s.final_delta for s in spectra),
     )

@@ -186,6 +186,7 @@ class TestBaselineJadeWrappers:
         est = periodogram_jade(cfr, cfg)
         assert est.doa_deg == pytest.approx(theta0, abs=0.5)
         assert est.toa_s == pytest.approx(tau0, abs=dgrid.step_s)
+        assert est.converged is True and est.final_delta == 0.0  # no sweep to converge
 
     def test_music_jade_auto_order(self):
         dgrid = DelayGrid.for_srs(SRS32, 512)
@@ -204,3 +205,4 @@ class TestBaselineJadeWrappers:
         est = music_jade(cfr, cfg, SmoothingConfig(6, 2))
         assert est.doa_deg == pytest.approx(-30.0, abs=1.0)
         assert est.toa_s == pytest.approx(tau0, abs=2 * dgrid.step_s)
+        assert est.converged is True and est.final_delta == 0.0

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -50,6 +51,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="schema_version"):
             validate_config(minimal_config(schema_version=2))
 
+    def test_schema_is_the_one_defaults_table(self):
+        # every optional setting is declared, with its default, in the schema alone
+        props = harness.CONFIG_SCHEMA["properties"]
+        for key, spec in props.items():
+            if key in ("schema_version", "waveform"):
+                continue
+            leaves = spec["properties"].items() if "properties" in spec else [("", spec)]
+            for name, prop in leaves:
+                assert "default" in prop, f"{key}.{name}"
+        bare = {"schema_version": 1, "waveform": minimal_config()["waveform"]}
+        for raw in (bare, minimal_config()):
+            cfg = validate_config(raw)
+            assert set(cfg) == set(props) - {"schema_version"}
+            for key, value in cfg.items():
+                if "properties" in props[key]:
+                    assert set(value) == set(props[key]["properties"]), key
+            # the filled-in defaults satisfy the schema themselves
+            jsonschema.validate({"schema_version": 1, **cfg}, harness.CONFIG_SCHEMA)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -93,6 +113,13 @@ class TestMonteCarlo:
         for a, b in zip(seq, par):
             assert a.trial == b.trial and a.seed == b.seed
             assert a.errors == b.errors
+
+    def test_worker_config_fault_keeps_its_type(self):
+        # an angle grid that runs backwards fails in the environment build
+        cfg = validate_config(minimal_config(grids={"angle_lo_deg": 60.0, "angle_hi_deg": -60.0}))
+        for workers in (1, 2):
+            with pytest.raises(ValueError):
+                harness.run_monte_carlo(cfg, workers=workers)
 
     def test_all_estimators_see_same_cfr(self):
         # identical scenario seeds: periodogram and fft_iaa rows agree on the
@@ -138,6 +165,11 @@ class TestBenchmark:
             assert row["runs"] == 3
             assert row["median_ms"] > 0
             assert row["mean_ms"] > 0
+
+    def test_zero_runs_rejected(self):
+        cfg = validate_config(minimal_config(estimators=["periodogram"]))
+        with pytest.raises(ValueError, match="runs"):
+            harness.run_benchmark(cfg, runs=0)
 
     def test_total_time_monotone_in_runs(self):
         import time
@@ -195,6 +227,18 @@ class TestCli:
         rc = cli.main(["bench", "--config", str(cfg), "--runs", "2"])
         assert rc == 0
         assert "median_ms" in capsys.readouterr().out
+
+    def test_bench_zero_runs_exit_two(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, estimators=["periodogram"])
+        rc = cli.main(["bench", "--config", str(cfg), "--runs", "0"])
+        assert rc == 2
+        assert "runs" in capsys.readouterr().err
+
+    def test_simulate_unknown_estimator_exit_two(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--estimator", "magic"])
+        assert exc.value.code == 2
 
     def test_calibrate_fit_round_trip(self, tmp_path, capsys):
         from srsjade import synth_error_profile

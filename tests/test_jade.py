@@ -9,9 +9,11 @@ from srsjade import (
     NoiseSpec,
     PathParam,
     SteeringModel,
+    IaaSettings,
     ToaSpectrum,
     cbf_doa,
     jade,
+    multichannel_toa,
     snr_scale,
     synth_error_profile,
     synthesize_cfr,
@@ -21,6 +23,7 @@ from srsjade.pipeline import (
     DetectionError,
     average_spectra,
     detect_paths,
+    prepare,
     select_los,
 )
 
@@ -226,6 +229,33 @@ class TestJadePipeline:
         cfg = JadeConfig(steering=SteeringModel("ideal", ula4))
         cfr = synthesize_cfr(srs64, ula4, [PathParam(0.0, 20e-9, 1.0, is_los=True)])
         d = jade(cfr, cfg).to_json_dict()
-        assert set(d) == {"doa_deg", "toa_ns", "range_m", "n_iterations", "detections"}
+        assert set(d) == {
+            "doa_deg", "toa_ns", "range_m", "n_iterations", "converged", "final_delta", "detections"
+        }
         assert set(d["detections"][0]) == {"delay_ns", "amp_db"}
         assert d["detections"][0]["amp_db"] <= 0.0
+
+    @staticmethod
+    def two_path_cfr(srs, geom):
+        paths = [PathParam(5.0, 40e-9, 1.0, is_los=True), PathParam(-20.0, 90e-9, 0.8)]
+        return synthesize_cfr(srs, geom, paths, noise=NoiseSpec(2.0), seed=4)
+
+    def test_capped_run_reports_not_converged(self, srs64, ula4):
+        cfg = JadeConfig(steering=SteeringModel("ideal", ula4))
+        cfr = self.two_path_cfr(srs64, ula4)
+        est = jade(cfr, cfg)
+        spectra = multichannel_toa(*prepare(cfr, cfg), cfg.iaa)
+        assert est.iterations == 15
+        assert est.converged is False
+        assert est.final_delta == max(s.final_delta for s in spectra)
+        assert est.final_delta >= cfg.iaa.convergence_tol
+        d = est.to_json_dict()
+        assert d["converged"] is False and d["final_delta"] == est.final_delta
+
+    def test_loose_tolerance_reports_converged(self, srs64, ula4):
+        cfg = JadeConfig(steering=SteeringModel("ideal", ula4), iaa=IaaSettings(convergence_tol=1.0))
+        est = jade(self.two_path_cfr(srs64, ula4), cfg)
+        assert est.converged is True
+        assert 0.0 < est.final_delta < 1.0
+        assert est.iterations < 15
+        assert est.to_json_dict()["converged"] is True
